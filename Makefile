@@ -2,7 +2,7 @@
 
 CARGO ?= cargo
 
-.PHONY: build test audit audit-baseline fmt-check clippy bench bench-fleet bench-hotpath bench-upcall bench-detect bench-policy bench-backends bench-fault bench-check bench-compare bench-summary trace-forensics example-fleet clean
+.PHONY: build test audit audit-baseline fmt-check clippy bench bench-fleet bench-hotpath bench-upcall bench-detect bench-policy bench-backends bench-fault bench-check bench-compare bench-summary perfbench perfbench-trace perfbench-smoke trace-forensics example-fleet clean
 
 build:
 	$(CARGO) build --release
@@ -94,6 +94,28 @@ bench-compare:
 # throughput trajectory plus every artefact's headline cell.
 bench-summary:
 	$(CARGO) run --release -p pi_bench --bin bench_summary
+
+# The repository benchmark (BENCHMARK.json), one workload per call:
+#   make perfbench W=tss_collapse SEED=1        end-to-end metrics
+#   make perfbench-trace W=tss_collapse SEED=1  per-layer metrics
+# W is colocation_dense | tss_collapse | policy_flap | sparse_idle;
+# SECS sets --seconds (default: the benchmark's 30 s of runs).
+W ?= tss_collapse
+SEED ?= 1
+SECS ?= 30
+PERFBENCH = $(CARGO) run --release --quiet --offline --manifest-path perfbench/Cargo.toml --
+
+perfbench:
+	$(PERFBENCH) --workload $(W) --seed $(SEED) --seconds $(SECS) --trace 0
+
+perfbench-trace:
+	$(PERFBENCH) --workload $(W) --seed $(SEED) --seconds $(SECS) --trace 1
+
+# Three untraced runs of W (digest and paper-band checks); fails unless
+# every run passed.
+perfbench-smoke:
+	$(PERFBENCH) --workload $(W) --seed $(SEED) --seconds 0 --trace 0 | tee /dev/stderr \
+		| tail -n 1 | grep -q '"correct": true'
 
 # Traced policy-flap forensics: proves the causal chain (policy update
 # -> cache flush -> attributed rebuild storm -> PolicyChurn detection)

@@ -236,6 +236,11 @@ impl<V> FlatTable<V> {
         }
     }
 
+    /// Iterates the stored entry hashes in slot order.
+    pub fn hashes(&self) -> impl Iterator<Item = u64> + '_ {
+        self.slots.iter().flatten().map(|s| s.hash)
+    }
+
     /// Iterates `(canonical key, value)` in slot order — deterministic
     /// for a given operation sequence (no random hash state).
     pub fn iter(&self) -> impl Iterator<Item = (&FlowKey, &V)> {

@@ -13,17 +13,28 @@
 //! engine serves as the megaflow cache store (`V = MegaflowEntry`) and as
 //! a general classifier in tests.
 //!
-//! **Hot-path design** (the allocation-free rebuild): each subtable is a
-//! [`FlatTable`] — open addressing, power-of-two capacity, linear
-//! probing — keyed by the entry's deterministic flow hash. A lookup
-//! extracts the packet's [`KeyWords`] **once** and derives its hash
-//! under every subtable's mask with one AND-and-mix per field
-//! ([`KeyWords::masked_hash`]); no masked `FlowKey` is materialised and
+//! **Hot-path design** (the streamed walk): the walk reads one
+//! contiguous array of `Probe`s kept in probe order. Each element holds
+//! everything a probe that misses needs — the subtable's [`MaskWords`],
+//! its full-probe stage cost and a 64-bit *hash filter* with one bit per
+//! live entry hash (`1 << (hash >> 58)`) — plus the index of the cold
+//! `Subtable` (its [`FlatTable`] of entries, hit counter and optional
+//! staged index). A lookup extracts the packet's [`KeyWords`] **once**,
+//! derives its hash under each probe's mask with one AND-and-mix per
+//! field ([`KeyWords::masked_hash`]) and tests the filter bit; only when
+//! the bit is set does it read the subtable's slots. A walk past
+//! thousands of attack masks therefore streams one array instead of
+//! following a pointer into every subtable and then into its slot array.
+//! The filter only skips reads: `insert` sets bits, and `remove` and
+//! `retain` recompute them, so a bit can be stale (costing one slot read)
+//! but never missing. Probe counts, stage units and statistics are those
+//! of the plain sequential walk. No masked `FlowKey` is materialised and
 //! nothing allocates per packet. Callers that already hold the packet's
 //! words (the datapath's batch path) use the `*_with` lookup variants to
 //! skip re-extraction.
 
 use std::collections::HashMap;
+use std::ops::ControlFlow;
 
 use pi_core::{FlowKey, FlowMask, KeyWords, MaskWords, MaskedKey};
 
@@ -46,46 +57,56 @@ pub enum SubtableOrder {
     },
 }
 
-/// One flat hash table of same-mask entries.
+/// One flat hash table of same-mask entries: the part of a subtable the
+/// walk reads only on a filter hit.
 #[derive(Debug, Clone)]
 struct Subtable<V> {
     mask: FlowMask,
-    /// The mask's word representation, precomputed so a probe is one
-    /// masked-hash fold over the packet's words.
-    mask_words: MaskWords,
     entries: FlatTable<V>,
     /// Hits since creation (drives `HitCountDescending`).
     hits: u64,
-    /// Optional staged membership index.
+    /// Staged membership index; present exactly when the table's staged
+    /// lookup is on.
     staged: Option<StagedIndex>,
+    /// Position of this subtable's [`Probe`] in the probe array.
+    probe: usize,
+}
+
+/// One subtable's element of the probe-order walk array.
+#[derive(Debug, Clone)]
+struct Probe {
+    /// The mask's word representation, so a probe is one masked-hash
+    /// fold over the packet's words.
+    mask_words: MaskWords,
+    /// Index of the subtable in storage order.
+    slot: usize,
     /// Hash work of one full (non-staged) probe, in stage units: the
     /// number of protocol stages with mask bits (≥ 1). A staged probe
     /// that aborts at stage `k` costs `k` of these units.
     full_probe_cost: usize,
+    /// One bit per live entry hash ([`filter_bit`]). A clear bit proves
+    /// no entry has a hash with those top bits.
+    filter: u64,
 }
 
-impl<V> Subtable<V> {
-    fn new(mask: FlowMask, staged_enabled: bool) -> Self {
-        let staged_probe = StagedIndex::new(&mask);
-        let full_probe_cost = staged_probe.stage_count().max(1);
-        Subtable {
-            mask,
-            mask_words: MaskWords::of(&mask),
-            entries: FlatTable::new(),
-            hits: 0,
-            staged: staged_enabled.then_some(staged_probe),
-            full_probe_cost,
-        }
-    }
+/// A canonical entry key's hash: the masked key is pre-masked, so its
+/// full hash equals its masked hash under its subtable's mask — the
+/// invariant that lets raw packets probe with [`KeyWords::masked_hash`].
+#[inline]
+fn entry_hash(key: &FlowKey) -> u64 {
+    KeyWords::of(key).full_hash()
+}
 
-    /// A canonical entry key's hash: the masked key is pre-masked, so
-    /// its full hash equals its masked hash under this subtable's mask —
-    /// the invariant that lets raw packets probe with
-    /// [`KeyWords::masked_hash`].
-    #[inline]
-    fn entry_hash(key: &FlowKey) -> u64 {
-        KeyWords::of(key).full_hash()
-    }
+/// The hash filter bit of an entry hash: its top six bits select one of
+/// 64 (the low bits index the flat table, so the two are independent).
+#[inline(always)]
+fn filter_bit(hash: u64) -> u64 {
+    1 << (hash >> 58)
+}
+
+/// The exact filter of a subtable's live entries.
+fn filter_of<V>(entries: &FlatTable<V>) -> u64 {
+    entries.hashes().fold(0, |f, h| f | filter_bit(h))
 }
 
 /// Counters accumulated across lookups.
@@ -128,9 +149,10 @@ pub struct LookupOutcome<T> {
 /// A Tuple Space Search classifier / cache store.
 #[derive(Debug, Clone)]
 pub struct TupleSpaceSearch<V> {
+    /// Subtables in storage order (what `iter`/`retain` visit).
     subtables: Vec<Subtable<V>>,
-    /// Probe order: indices into `subtables`.
-    order: Vec<usize>,
+    /// The walk array, in probe order.
+    probes: Vec<Probe>,
     /// mask → index into `subtables`.
     index: HashMap<FlowMask, usize>,
     entry_count: usize,
@@ -151,7 +173,7 @@ impl<V> TupleSpaceSearch<V> {
     pub fn new(ordering: SubtableOrder) -> Self {
         TupleSpaceSearch {
             subtables: Vec::new(),
-            order: Vec::new(),
+            probes: Vec::new(),
             index: HashMap::new(),
             entry_count: 0,
             ordering,
@@ -161,10 +183,10 @@ impl<V> TupleSpaceSearch<V> {
         }
     }
 
-    /// Enables staged lookup for subtables created *after* this call
-    /// (intended to be set at construction time).
+    /// Enables staged lookup, like [`TupleSpaceSearch::set_staged_lookup`]
+    /// with `true` (existing subtables are retrofitted).
     pub fn with_staged_lookup(mut self) -> Self {
-        self.staged_enabled = true;
+        self.set_staged_lookup(true);
         self
     }
 
@@ -211,7 +233,10 @@ impl<V> TupleSpaceSearch<V> {
 
     /// The distinct masks currently present, in probe order.
     pub fn masks(&self) -> Vec<FlowMask> {
-        self.order.iter().map(|&i| self.subtables[i].mask).collect()
+        self.probes
+            .iter()
+            .map(|p| self.subtables[p.slot].mask)
+            .collect()
     }
 
     /// Accumulated lookup statistics.
@@ -227,23 +252,35 @@ impl<V> TupleSpaceSearch<V> {
     /// Inserts an entry; returns the previous payload if the masked key
     /// was already present. Creates the subtable on first use of a mask.
     pub fn insert(&mut self, mk: MaskedKey, value: V) -> Option<V> {
-        let idx = match self.index.get(mk.mask()) {
+        let mask = mk.mask();
+        let slot = match self.index.get(mask) {
             Some(&i) => i,
             None => {
-                let i = self.subtables.len();
-                self.subtables
-                    .push(Subtable::new(*mk.mask(), self.staged_enabled));
-                self.order.push(i);
-                self.index.insert(*mk.mask(), i);
-                i
+                let slot = self.subtables.len();
+                let staged = StagedIndex::new(mask);
+                self.probes.push(Probe {
+                    mask_words: MaskWords::of(mask),
+                    slot,
+                    full_probe_cost: staged.stage_count().max(1),
+                    filter: 0,
+                });
+                self.subtables.push(Subtable {
+                    mask: *mask,
+                    entries: FlatTable::new(),
+                    hits: 0,
+                    staged: self.staged_enabled.then_some(staged),
+                    probe: self.probes.len() - 1,
+                });
+                self.index.insert(*mask, slot);
+                slot
             }
         };
-        let st = &mut self.subtables[idx];
-        let prev = st
-            .entries
-            .insert(Subtable::<V>::entry_hash(mk.key()), *mk.key(), value);
+        let st = &mut self.subtables[slot];
+        let hash = entry_hash(mk.key());
+        let prev = st.entries.insert(hash, *mk.key(), value);
         if prev.is_none() {
             self.entry_count += 1;
+            self.probes[st.probe].filter |= filter_bit(hash);
             if let Some(staged) = &mut st.staged {
                 staged.insert(mk.key());
             }
@@ -256,7 +293,7 @@ impl<V> TupleSpaceSearch<V> {
         let &i = self.index.get(mk.mask())?;
         self.subtables[i]
             .entries
-            .get(Subtable::<V>::entry_hash(mk.key()), mk.key())
+            .get(entry_hash(mk.key()), mk.key())
     }
 
     /// Mutable fetch by exact masked key.
@@ -264,42 +301,98 @@ impl<V> TupleSpaceSearch<V> {
         let &i = self.index.get(mk.mask())?;
         self.subtables[i]
             .entries
-            .get_mut(Subtable::<V>::entry_hash(mk.key()), mk.key())
+            .get_mut(entry_hash(mk.key()), mk.key())
     }
 
     /// Removes an entry by masked key; drops the subtable if it empties.
     pub fn remove(&mut self, mk: &MaskedKey) -> Option<V> {
-        let &idx = self.index.get(mk.mask())?;
-        let st = &mut self.subtables[idx];
-        let removed = st
-            .entries
-            .remove(Subtable::<V>::entry_hash(mk.key()), mk.key());
+        let &slot = self.index.get(mk.mask())?;
+        let st = &mut self.subtables[slot];
+        let removed = st.entries.remove(entry_hash(mk.key()), mk.key());
         if removed.is_some() {
             self.entry_count -= 1;
             if let Some(staged) = &mut st.staged {
                 staged.remove(mk.key());
             }
             if st.entries.is_empty() {
-                self.remove_subtable(idx);
+                self.drop_empty_subtables();
+            } else {
+                self.probes[st.probe].filter = filter_of(&st.entries);
             }
         }
         removed
     }
 
-    fn remove_subtable(&mut self, idx: usize) {
-        let last = self.subtables.len() - 1;
-        self.index.remove(&self.subtables[idx].mask);
-        self.subtables.swap_remove(idx);
-        self.order.retain(|&i| i != idx);
-        if idx != last {
-            // The subtable formerly at `last` now lives at `idx`.
-            self.index.insert(self.subtables[idx].mask, idx);
-            for o in self.order.iter_mut() {
-                if *o == last {
-                    *o = idx;
+    /// Drops every empty subtable in one pass. The probe array keeps the
+    /// survivors' relative order; storage order is what swap-removing
+    /// the empty subtables from back to front gives.
+    fn drop_empty_subtables(&mut self) {
+        let subtables = &self.subtables;
+        self.probes
+            .retain(|p| !subtables[p.slot].entries.is_empty());
+        self.relink_probes();
+        let subtables = &mut self.subtables;
+        for slot in (0..subtables.len()).rev() {
+            if !subtables[slot].entries.is_empty() {
+                continue;
+            }
+            let gone = subtables.swap_remove(slot);
+            self.index.remove(&gone.mask);
+            // Every subtable after `slot` is live, so one moved here.
+            if let Some(moved) = subtables.get(slot) {
+                self.index.insert(moved.mask, slot);
+                self.probes[moved.probe].slot = slot;
+            }
+        }
+    }
+
+    /// Points every subtable back at its probe's position, after the
+    /// probe array was reordered or compacted.
+    fn relink_probes(&mut self) {
+        for (i, p) in self.probes.iter().enumerate() {
+            self.subtables[p.slot].probe = i;
+        }
+    }
+
+    /// The subtable walk behind every lookup: visits the probes in order
+    /// and calls `on_hit(slot, hash, value)` for each subtable holding a
+    /// match, stopping when it breaks. Returns `(probes, stage_checks)`.
+    #[inline]
+    // audit: hotpath
+    fn walk<'a>(
+        &'a self,
+        packet: &FlowKey,
+        words: &KeyWords,
+        mut on_hit: impl FnMut(usize, u64, &'a V) -> ControlFlow<()>,
+    ) -> (usize, usize) {
+        let mut stage_checks = 0;
+        for (n, p) in self.probes.iter().enumerate() {
+            let staged = if self.staged_enabled {
+                self.subtables[p.slot].staged.as_ref()
+            } else {
+                None
+            };
+            if let Some(staged) = staged {
+                let (may, stages) = staged.probe_with(packet, words);
+                stage_checks += stages;
+                if !may {
+                    continue;
+                }
+            } else {
+                stage_checks += p.full_probe_cost;
+            }
+            let hash = words.masked_hash(&p.mask_words);
+            if p.filter & filter_bit(hash) == 0 {
+                continue;
+            }
+            let st = &self.subtables[p.slot];
+            if let Some(v) = st.entries.get_by_hash(hash, |k| st.mask.key_eq(k, packet)) {
+                if on_hit(p.slot, hash, v).is_break() {
+                    return (n + 1, stage_checks);
                 }
             }
         }
+        (self.probes.len(), stage_checks)
     }
 
     /// Sequential-walk lookup **without** touching hit counters or stats
@@ -311,31 +404,13 @@ impl<V> TupleSpaceSearch<V> {
     /// [`TupleSpaceSearch::peek`] with the packet's words already
     /// extracted (batch callers hash once per packet, not per level).
     pub fn peek_with(&self, packet: &FlowKey, words: &KeyWords) -> LookupOutcome<&V> {
-        let mut probes = 0;
-        let mut stage_checks = 0;
-        for &i in &self.order {
-            let st = &self.subtables[i];
-            probes += 1;
-            if let Some(staged) = &st.staged {
-                let (may, stages) = staged.probe_with(packet, words);
-                stage_checks += stages;
-                if !may {
-                    continue;
-                }
-            } else {
-                stage_checks += st.full_probe_cost;
-            }
-            let hash = words.masked_hash(&st.mask_words);
-            if let Some(v) = st.entries.get_by_hash(hash, |k| st.mask.key_eq(k, packet)) {
-                return LookupOutcome {
-                    value: Some(v),
-                    probes,
-                    stage_checks,
-                };
-            }
-        }
+        let mut value = None;
+        let (probes, stage_checks) = self.walk(packet, words, |_, _, v| {
+            value = Some(v);
+            ControlFlow::Break(())
+        });
         LookupOutcome {
-            value: None,
+            value,
             probes,
             stage_checks,
         }
@@ -356,51 +431,24 @@ impl<V> TupleSpaceSearch<V> {
         self.stats.lookups += 1;
         self.lookups_since_resort += 1;
 
-        let mut probes = 0;
-        let mut stage_checks = 0;
-        let mut found: Option<(usize, u64)> = None;
-        for &i in &self.order {
-            let st = &mut self.subtables[i];
-            probes += 1;
-            if let Some(staged) = &st.staged {
-                let (may, stages) = staged.probe_with(packet, words);
-                stage_checks += stages;
-                if !may {
-                    continue;
-                }
-            } else {
-                stage_checks += st.full_probe_cost;
-            }
-            let hash = words.masked_hash(&st.mask_words);
-            if st
-                .entries
-                .get_by_hash(hash, |k| st.mask.key_eq(k, packet))
-                .is_some()
-            {
-                st.hits += 1;
-                found = Some((i, hash));
-                break;
-            }
-        }
-
+        let mut found = None;
+        let (probes, stage_checks) = self.walk(packet, words, |slot, hash, _| {
+            found = Some((slot, hash));
+            ControlFlow::Break(())
+        });
         self.stats.subtables_probed += probes as u64;
         self.stats.stage_checks += stage_checks as u64;
-        match found {
-            Some((i, hash)) => {
-                self.stats.hits += 1;
-                let st = &mut self.subtables[i];
-                let mask = st.mask;
-                LookupOutcome {
-                    value: st.entries.get_mut_by_hash(hash, |k| mask.key_eq(k, packet)),
-                    probes,
-                    stage_checks,
-                }
-            }
-            None => LookupOutcome {
-                value: None,
-                probes,
-                stage_checks,
-            },
+        let value = found.and_then(|(slot, hash)| {
+            self.stats.hits += 1;
+            let st = &mut self.subtables[slot];
+            st.hits += 1;
+            let mask = st.mask;
+            st.entries.get_mut_by_hash(hash, |k| mask.key_eq(k, packet))
+        });
+        LookupOutcome {
+            value,
+            probes,
+            stage_checks,
         }
     }
 
@@ -420,8 +468,9 @@ impl<V> TupleSpaceSearch<V> {
             if self.lookups_since_resort >= resort_every {
                 self.lookups_since_resort = 0;
                 let subtables = &self.subtables;
-                self.order
-                    .sort_by_key(|&i| std::cmp::Reverse(subtables[i].hits));
+                self.probes
+                    .sort_by_key(|p| std::cmp::Reverse(subtables[p.slot].hits));
+                self.relink_probes();
             }
         }
     }
@@ -434,20 +483,14 @@ impl<V> TupleSpaceSearch<V> {
         packet: &FlowKey,
         mut rank: impl FnMut(&V) -> K,
     ) -> LookupOutcome<&V> {
-        let words = KeyWords::of(packet);
-        let mut probes = 0;
         let mut best: Option<(&V, K)> = None;
-        for &i in &self.order {
-            let st = &self.subtables[i];
-            probes += 1;
-            let hash = words.masked_hash(&st.mask_words);
-            if let Some(v) = st.entries.get_by_hash(hash, |k| st.mask.key_eq(k, packet)) {
-                let k = rank(v);
-                if best.as_ref().map(|(_, bk)| k > *bk).unwrap_or(true) {
-                    best = Some((v, k));
-                }
+        let (probes, _) = self.walk(packet, &KeyWords::of(packet), |_, _, v| {
+            let k = rank(v);
+            if best.as_ref().map(|(_, bk)| k > *bk).unwrap_or(true) {
+                best = Some((v, k));
             }
-        }
+            ControlFlow::Continue(())
+        });
         LookupOutcome {
             value: best.map(|(v, _)| v),
             probes,
@@ -458,8 +501,8 @@ impl<V> TupleSpaceSearch<V> {
     /// Keeps only the entries for which `keep` returns true (revalidator
     /// sweeps); empty subtables are dropped.
     pub fn retain(&mut self, mut keep: impl FnMut(&MaskedKey, &mut V) -> bool) {
-        let mut doomed_subtables = Vec::new();
-        for (idx, st) in self.subtables.iter_mut().enumerate() {
+        let mut emptied = false;
+        for st in &mut self.subtables {
             let mask = st.mask;
             let staged = &mut st.staged;
             let before = st.entries.len();
@@ -473,14 +516,15 @@ impl<V> TupleSpaceSearch<V> {
                 }
                 kept
             });
-            self.entry_count -= before - st.entries.len();
-            if st.entries.is_empty() {
-                doomed_subtables.push(idx);
+            let removed = before - st.entries.len();
+            if removed > 0 {
+                self.entry_count -= removed;
+                self.probes[st.probe].filter = filter_of(&st.entries);
+                emptied |= st.entries.is_empty();
             }
         }
-        // Remove from the back so earlier indices stay valid.
-        for idx in doomed_subtables.into_iter().rev() {
-            self.remove_subtable(idx);
+        if emptied {
+            self.drop_empty_subtables();
         }
     }
 
@@ -498,7 +542,7 @@ impl<V> TupleSpaceSearch<V> {
     /// Removes everything.
     pub fn clear(&mut self) {
         self.subtables.clear();
-        self.order.clear();
+        self.probes.clear();
         self.index.clear();
         self.entry_count = 0;
     }
@@ -811,6 +855,75 @@ mod tests {
         retrofitted.set_staged_lookup(false);
         let off = retrofitted.lookup(&foreign);
         assert_eq!(off.stage_checks, 48, "full hash work once disabled");
+    }
+
+    #[test]
+    fn with_staged_lookup_retrofits_a_populated_table() {
+        let entries: Vec<(MaskedKey, u8)> = (1..=16u8)
+            .map(|len| {
+                let mk = MaskedKey::new(
+                    FlowKey::tcp([10, 0, 0, 0], [0, 0, 0, 0], 0, 80).with(Field::InPort, 1),
+                    pi_core::FlowMask::default()
+                        .with_exact(Field::InPort)
+                        .with_prefix(Field::IpSrc, len)
+                        .with_exact(Field::TpDst),
+                );
+                (mk, len)
+            })
+            .collect();
+        let mut late = TupleSpaceSearch::default();
+        let mut early = TupleSpaceSearch::default().with_staged_lookup();
+        for &(mk, v) in &entries {
+            late.insert(mk, v);
+            early.insert(mk, v);
+        }
+        let mut late = late.with_staged_lookup();
+        assert!(late.staged_lookup());
+        let mut foreign = FlowKey::tcp([10, 0, 0, 1], [0, 0, 0, 0], 0, 80);
+        foreign.in_port = 2;
+        let member = FlowKey::tcp([10, 0, 0, 1], [0, 0, 0, 0], 0, 80).with(Field::InPort, 1);
+        for pkt in [foreign, member] {
+            assert_eq!(late.lookup(&pkt), early.lookup(&pkt), "packet {pkt}");
+        }
+        assert_eq!(late.stats(), early.stats());
+        // 16 one-stage aborts, then a three-stage hit on the first probe.
+        assert_eq!(late.stats().stage_checks, 16 + 3);
+        // The flag already matches, so this must not touch the indexes.
+        late.set_staged_lookup(true);
+        assert_eq!(late.lookup(&foreign), early.lookup(&foreign));
+    }
+
+    #[test]
+    fn hash_filter_tracks_inserts_removes_and_retain() {
+        // 512 entries under one mask set every filter bit;
+        // removing or sweeping away all but one must leave exactly the
+        // survivor's bit, the survivor findable and every other key a
+        // miss.
+        let mks: Vec<MaskedKey> = (0..512u32)
+            .map(|n| prefix_mk((0x0a00_0000 + n).to_be_bytes(), 32))
+            .collect();
+        let full = || {
+            let mut tss = TupleSpaceSearch::default();
+            for (n, mk) in mks.iter().enumerate() {
+                tss.insert(*mk, n);
+            }
+            assert_eq!(tss.subtable_count(), 1);
+            assert_eq!(tss.probes[0].filter.count_ones(), 64);
+            tss
+        };
+        let mut removed = full();
+        for mk in &mks[1..] {
+            removed.remove(mk);
+        }
+        let mut swept = full();
+        swept.retain(|_, v| *v == 0);
+        for tss in [removed, swept] {
+            assert_eq!(tss.probes[0].filter, filter_bit(entry_hash(mks[0].key())));
+            assert_eq!(tss.peek(&mks[0].witness()).value, Some(&0));
+            for mk in &mks[1..] {
+                assert_eq!(tss.peek(&mk.witness()).value, None);
+            }
+        }
     }
 
     #[test]
